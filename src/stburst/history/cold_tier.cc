@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 
@@ -163,8 +164,19 @@ struct ColdTier::Base {
       return Status::FailedPrecondition("cold tier: '" + path +
                                         "' header fields out of range");
     }
-    const uint64_t payload_len = uint64_t{8} * (h.num_terms + 1) +
-                                 h.num_rows * (4 + 4 + 8 + 8 + 8);
+    // Checked arithmetic: a header claiming ~2^60 rows must not wrap around
+    // to a small length that happens to match the file.
+    uint64_t offsets_len = 0;
+    uint64_t rows_len = 0;
+    uint64_t payload_len = 0;
+    if (__builtin_add_overflow(h.num_terms, uint64_t{1}, &offsets_len) ||
+        __builtin_mul_overflow(offsets_len, uint64_t{8}, &offsets_len) ||
+        __builtin_mul_overflow(h.num_rows, uint64_t{4 + 4 + 8 + 8 + 8},
+                               &rows_len) ||
+        __builtin_add_overflow(offsets_len, rows_len, &payload_len)) {
+      return Status::FailedPrecondition(
+          "cold tier: '" + path + "' header sizes overflow the payload length");
+    }
     if (payload_len != file_len - kHeaderSize) {
       return Status::FailedPrecondition(
           "cold tier: '" + path + "' payload is " +
@@ -207,7 +219,48 @@ struct ColdTier::Base {
             "cold tier: '" + path + "' term offset index is not monotone");
       }
     }
+    STB_RETURN_NOT_OK(base->ValidateRows(path, h.bucket_width));
     return base;
+  }
+
+  // The structural half of validation, one pass over the rows: checksums
+  // prove the bytes are the ones written, not that the writer's contract
+  // holds. Readers index series by stream and binary-search rows by
+  // (stream, bucket), so a row breaking either would abort or answer
+  // wrongly later instead of failing here.
+  Status ValidateRows(const std::string& path, uint32_t bucket_width) const {
+    const auto reject = [&](uint64_t row, const char* what) {
+      return Status::FailedPrecondition("cold tier: '" + path + "' row " +
+                                        std::to_string(row) + " " + what);
+    };
+    const uint64_t min_bucket =
+        static_cast<uint64_t>(covered_start) / bucket_width;
+    // With nothing folded no bucket is in range; -1 makes every row fail.
+    const int64_t max_bucket =
+        folded_until > covered_start
+            ? static_cast<int64_t>(folded_until - 1) / bucket_width
+            : -1;
+    for (uint64_t t = 0; t < num_terms; ++t) {
+      for (uint64_t r = term_offsets[t]; r < term_offsets[t + 1]; ++r) {
+        if (stream[r] >= stream_upper_bound) {
+          return reject(r, "names a stream >= stream_upper_bound");
+        }
+        if (r > term_offsets[t] &&
+            std::pair(stream[r - 1], bucket[r - 1]) >=
+                std::pair(stream[r], bucket[r])) {
+          return reject(r, "breaks the (stream, bucket) order of its term");
+        }
+        if (bucket[r] < min_bucket ||
+            static_cast<int64_t>(bucket[r]) > max_bucket) {
+          return reject(r, "has a bucket outside [covered_start, "
+                           "folded_until)");
+        }
+        if (!std::isfinite(sum[r]) || !std::isfinite(max[r])) {
+          return reject(r, "has a non-finite sum or max");
+        }
+      }
+    }
+    return Status::OK();
   }
 
   // Row range [begin, end) of one term; empty for terms past the index.

@@ -94,7 +94,8 @@ class ColdTier {
   static StatusOr<ColdTier> CreateInMemory(Timestamp bucket_width);
 
   /// Mmap-backed tier (HistoryMode::kMmap). If `path` exists it is opened,
-  /// validated (magic, version, header + payload checksums), and required to
+  /// validated (magic, version, header + payload checksums, then every
+  /// row's stream, order, bucket range and finiteness), and required to
   /// have the same bucket width; if it does not exist, an empty tier is
   /// created and the file appears on the first `Publish()`. Rejects
   /// big-endian hosts (the format is little-endian, see docs/STORAGE.md).

@@ -1,12 +1,12 @@
 // One published generation of the search read plane.
 //
 // A tick that edits search state builds the next IndexSnapshot off to the
-// side (a private copy of the current index, edited through the usual
-// Reopen → EvictBefore/ReplaceTerm → Finalize fast path) and publishes it
-// with one atomic swap; readers hold a shared_ptr<const IndexSnapshot> and
-// query it lock-free for as long as they like. The metadata alongside the
-// index pins down what "internally consistent" means for a result computed
-// against this snapshot: its generation, and the window the postings cover.
+// side — InvertedIndex::Successor shares every term list it does not
+// replace or evict from — and publishes it with one atomic swap; readers
+// hold a shared_ptr<const IndexSnapshot> and query it lock-free for as long
+// as they like. The metadata alongside the index pins down what
+// "internally consistent" means for a result computed against this
+// snapshot: its generation, and the window the postings cover.
 
 #ifndef STBURST_INDEX_INDEX_SNAPSHOT_H_
 #define STBURST_INDEX_INDEX_SNAPSHOT_H_

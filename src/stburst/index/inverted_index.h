@@ -1,17 +1,22 @@
 // Score-sorted inverted index (paper §5): term -> documents ranked by their
 // per-term score, supporting both the sorted access the Threshold Algorithm
-// scans and the random access it probes.
+// scans and the random access it probes. Persistent: generations share
+// their immutable per-term lists (see InvertedIndex::Successor).
 
 #ifndef STBURST_INDEX_INVERTED_INDEX_H_
 #define STBURST_INDEX_INVERTED_INDEX_H_
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "stburst/stream/types.h"
 
 namespace stburst {
+
+class ThreadPool;
 
 /// One entry of a term's posting list.
 struct Posting {
@@ -19,98 +24,102 @@ struct Posting {
   double score = 0.0;
 };
 
-/// Append-then-freeze inverted index with incremental re-freeze. Add() all
-/// postings, Finalize() once, then query; per-term posting lists are sorted
-/// by descending score. On a live feed, Reopen() lets new postings in after
-/// a freeze: the next Finalize() re-sorts only the terms touched since the
-/// last one, and generation() tells consumers holding cached query results
-/// (e.g. Threshold-Algorithm top-k lists) that they are stale.
-///
-/// Thread-safety: queries on a finalized index are const and safe from any
-/// number of threads; Add/Reopen/Finalize are writers and must be
-/// externally serialized against them.
+/// One term's frozen posting list: the postings in descending-score order
+/// (ties by ascending DocId) plus a flat open-addressing table for random
+/// access — 8-byte (DocId, rank) slots at load <= 0.5 in one allocation.
+/// Immutable, so every generation that did not replace the term shares it.
+class TermPostings {
+ public:
+  /// Sorts `postings` into score order and builds the lookup table; each
+  /// doc at most once. nullptr for an empty list. O(n log n).
+  static std::shared_ptr<const TermPostings> Freeze(
+      std::vector<Posting> postings);
+
+  /// This list without the docs < `min_live_doc`, in the same order (no
+  /// re-sort); nullptr when nothing survives. O(n).
+  std::shared_ptr<const TermPostings> EvictBefore(DocId min_live_doc) const;
+
+  const std::vector<Posting>& postings() const { return postings_; }
+
+  /// Random access: the score of `doc`; false if it has no posting here.
+  bool Score(DocId doc, double* score) const;
+
+  /// Smallest DocId in the list.
+  DocId min_doc() const { return min_doc_; }
+
+  explicit TermPostings(std::vector<Posting> sorted);  // use Freeze
+
+ private:
+  struct Slot {
+    DocId doc;      // kInvalidDoc marks an empty slot
+    uint32_t rank;  // position of doc in postings_
+  };
+  static_assert(sizeof(Slot) == 8);
+
+  size_t SlotOf(DocId doc) const;
+
+  std::vector<Posting> postings_;
+  std::unique_ptr<Slot[]> table_;
+  size_t mask_ = 0;  // table capacity - 1
+  DocId min_doc_ = kInvalidDoc;
+};
+
+/// A vector of shared per-term lists (nullptr: no postings) plus a
+/// generation number. Built in one shot — Add() everything, Finalize() —
+/// or by succession from a frozen index (the live read plane; see
+/// docs/ARCHITECTURE.md "Snapshot lifecycle"). A frozen index is const and
+/// safe from any number of threads, Successor() included; Add/Finalize are
+/// writers and must be externally serialized against them.
 class InvertedIndex {
  public:
-  /// Records that `doc` scores `score` for `term`. Must precede Finalize()
-  /// (or follow a Reopen()). Each (term, doc) pair must be added at most
-  /// once per lifetime of the term's postings — to change a frozen term's
-  /// scores, ClearTerm() it and re-Add (re-adding a still-listed pair keeps
-  /// the first-frozen score in the random-access map). Amortized O(1).
+  using TermList = std::shared_ptr<const TermPostings>;
+
+  /// Records that `doc` scores `score` for `term`. Must precede Finalize().
+  /// Each (term, doc) pair must be added at most once. Amortized O(1).
   void Add(TermId term, DocId doc, double score);
 
-  /// Sorts posting lists and builds the random-access maps. Idempotent.
-  /// The first call sorts everything; after a Reopen() only terms with new
-  /// postings are re-sorted and re-mapped (O(Σ |postings| of dirty terms)).
-  /// Each state-changing call bumps generation().
+  /// Freezes every term's postings (sort + lookup table) and bumps
+  /// generation(). Idempotent: a second call changes nothing.
   void Finalize();
 
-  /// Re-opens a finalized index so Add() is legal again. Queries are
-  /// rejected until the next Finalize(). No-op when already open.
-  void Reopen();
+  /// The next generation (generation() + 1), leaving this one untouched:
+  /// a copy of the term-pointer array in which `terms[i]` takes `lists[i]`
+  /// and then, when `min_live_doc` > 0, every list holding a doc below it
+  /// is re-frozen without those docs across `pool` (nullptr: inline; fault
+  /// site `index.evict`). Every other list is shared, not copied. Requires
+  /// no pending Add(); an index nobody added to is the empty generation 0.
+  /// O(num_terms) pointer copies + O(postings of the lists it builds).
+  InvertedIndex Successor(std::span<const TermId> terms,
+                          std::vector<TermList> lists, DocId min_live_doc,
+                          ThreadPool* pool) const;
 
-  /// Reverts a Reopen() that made no edits: re-freezes without bumping
-  /// generation(), so consumers holding cached query results keep them —
-  /// the index is exactly what they cached. The caller guarantees nothing
-  /// was Added/Cleared/Evicted since the Reopen(); a transactional owner
-  /// (FeedRuntime) uses this when a tick fails after Reopen() but before
-  /// its first index edit. Checked error if edits are pending or the index
-  /// was never finalized.
-  void AbortReopen();
-
-  /// Eviction-aware edit: removes every posting whose doc precedes
-  /// `min_live_doc` — the in-place follow-up to a prefix eviction
-  /// (Collection::EvictBefore with EvictionReport::ids_preserved, where
-  /// surviving documents keep their ids). Erasure preserves each term's
-  /// score order, so nothing is re-sorted, and the evicted docs are known
-  /// exactly, so the random-access maps pay O(evicted) targeted erases —
-  /// no per-term rebuild. Requires the index to be open (Reopen() first);
-  /// the next Finalize() bumps generation() for the whole edit batch,
-  /// exactly as an append-only refreeze would, so cached query results are
-  /// invalidated the same way. O(total postings) scan + O(evicted) map
-  /// erases — no collection re-scan, no re-scoring (bench:
-  /// inverted_reopen_evict).
-  void EvictBefore(DocId min_live_doc);
-
-  /// Drops all postings of `term` (marking it dirty for the next
-  /// Finalize()) so a consumer can re-derive them from fresh pattern state
-  /// — the per-term replacement path FeedRuntime's search serving takes
-  /// when a term is re-mined. Requires the index to be open. O(postings of
-  /// the term).
-  void ClearTerm(TermId term);
-
-  /// ClearTerm + bulk re-Add in one move: replaces `term`'s postings with
-  /// `postings` (scores need not be sorted — the next Finalize() sorts) and
-  /// marks the term dirty. The move-in makes this the no-allocation commit
-  /// step for staged per-term updates (FeedRuntime stages scored postings
-  /// off to the side, then commits each term with one ReplaceTerm).
-  /// Requires the index to be open. O(postings of the term).
-  void ReplaceTerm(TermId term, std::vector<Posting> postings);
-
-  /// Monotone freeze counter, bumped by every completing Finalize().
-  /// Consumers cache it alongside derived results (top-k lists, pattern
-  /// joins) and recompute when it moved.
+  /// 1 after Finalize(), the predecessor's + 1 after Successor(). Cached
+  /// query results carry it and are recomputed when it moved.
   uint64_t generation() const { return generation_; }
 
-  /// Sorted postings of a term (empty if none). Requires Finalize().
+  /// Sorted postings of a term (empty if none). Requires a frozen index.
   const std::vector<Posting>& postings(TermId term) const;
 
   /// Random access: the score of `doc` for `term`; false if absent.
-  /// Requires Finalize().
+  /// Requires a frozen index.
   bool Score(TermId term, DocId doc, double* score) const;
 
-  size_t num_terms() const { return postings_.size(); }
+  /// The shared list of `term`, nullptr if it has none; two generations
+  /// share a term's list exactly when these pointers are equal.
+  const TermPostings* term_list(TermId term) const {
+    return term < lists_.size() ? lists_[term].get() : nullptr;
+  }
+
+  size_t num_terms() const { return lists_.size(); }
   size_t total_postings() const { return total_postings_; }
   bool finalized() const { return finalized_; }
 
  private:
   bool finalized_ = false;
-  bool ever_finalized_ = false;
   uint64_t generation_ = 0;
   size_t total_postings_ = 0;
-  std::vector<std::vector<Posting>> postings_;  // indexed by TermId
-  std::vector<std::unordered_map<DocId, double>> lookup_;
-  std::vector<TermId> dirty_;  // terms Add()ed since the last Finalize()
-  static const std::vector<Posting> kEmpty;
+  std::vector<TermList> lists_;  // indexed by TermId
+  std::vector<std::vector<Posting>> pending_;  // Add()ed, not yet frozen
 };
 
 }  // namespace stburst

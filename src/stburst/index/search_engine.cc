@@ -59,15 +59,6 @@ void ScoreTermDocuments(const Collection& collection,
   }
 }
 
-void IndexTermDocuments(const Collection& collection,
-                        const FrequencyIndex& freq, TermId term,
-                        std::span<const TermPattern> patterns,
-                        InvertedIndex* index) {
-  std::vector<Posting> scored;
-  ScoreTermDocuments(collection, freq, term, patterns, &scored);
-  for (const Posting& p : scored) index->Add(term, p.doc, p.score);
-}
-
 TopKResult BurstySearchEngine::Search(const std::string& query, size_t k) const {
   return Search(tokenizer_.TokenizeFrozen(query, collection_->vocabulary()), k);
 }

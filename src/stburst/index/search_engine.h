@@ -69,25 +69,13 @@ double Relevance(double term_frequency);
 /// Recomputes the search postings of one term, term-major: every retained
 /// document containing `term` — found through the frequency index's sparse
 /// postings and the collection's per-(stream, timestamp) document lists —
-/// is scored relevance × max pattern overlap, and positive entries are
-/// Add()ed to `index`. The index must be open and hold no postings for the
-/// term (ClearTerm first when replacing). This is the incremental path a
-/// live maintainer (FeedRuntime's search serving) takes when a term's
-/// patterns change: postings produced this way are identical to the ones
+/// is scored relevance × max pattern overlap, and the positive (doc, score)
+/// entries are appended to `out`, unsorted (TermPostings::Freeze sorts).
+/// This is the path a live maintainer (FeedRuntime's search serving) takes
+/// when a term's patterns change: the postings are identical to the ones
 /// BurstySearchEngine::Build derives doc-major from the same pattern state
-/// (tested). `freq` must be in sync with `collection` (same windowed feed).
-/// O(Σ docs at the term's nonzero cells × tokens per doc).
-void IndexTermDocuments(const Collection& collection,
-                        const FrequencyIndex& freq, TermId term,
-                        std::span<const TermPattern> patterns,
-                        InvertedIndex* index);
-
-/// The scoring half of IndexTermDocuments, decoupled from the index: appends
-/// the term's positive (doc, score) entries to `out` in the same order
-/// IndexTermDocuments would Add() them. A transactional maintainer
-/// (FeedRuntime) scores every touched term into staging vectors first and
-/// commits each with one InvertedIndex::ReplaceTerm only after the whole
-/// tick succeeded. Same sync requirements as IndexTermDocuments.
+/// (tested). `freq` must be in sync with `collection` (same windowed
+/// feed). O(Σ docs at the term's nonzero cells × tokens per doc).
 void ScoreTermDocuments(const Collection& collection,
                         const FrequencyIndex& freq, TermId term,
                         std::span<const TermPattern> patterns,

@@ -62,7 +62,7 @@ struct FeedRuntime::TickTransaction::Impl {
   std::vector<TermId> refresh_todo;
   std::vector<TermPatterns> staged_refresh;
   std::vector<TermId> score_terms;
-  std::vector<std::vector<Posting>> staged_postings;
+  std::vector<InvertedIndex::TermList> staged_lists;
   std::vector<TermId> deferred_next;
   std::shared_ptr<IndexSnapshot> next_snapshot;
   bool touch_search = false;
@@ -219,14 +219,12 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
   if (runtime.options_.search_serving != SearchServing::kNone) {
     std::vector<TermId> all(runtime.index_.num_terms());
     for (size_t t = 0; t < all.size(); ++t) all[t] = static_cast<TermId>(t);
-    std::vector<std::vector<Posting>> staged = runtime.StageSearchPostings(
+    std::vector<InvertedIndex::TermList> staged = runtime.StageSearchPostings(
         all,
         [&](TermId term) -> const TermPatterns& { return runtime.patterns(term); });
     auto first = std::make_shared<IndexSnapshot>();
-    for (size_t i = 0; i < all.size(); ++i) {
-      first->index.ReplaceTerm(all[i], std::move(staged[i]));
-    }
-    first->index.Finalize();
+    first->index = InvertedIndex().Successor(all, std::move(staged),
+                                             /*min_live_doc=*/0, nullptr);
     first->generation = first->index.generation();
     first->window_start = runtime.index_.window_start();
     first->doc_id_base = runtime.collection_.doc_id_base();
@@ -508,34 +506,24 @@ Status FeedRuntime::StageDerivedGuarded(TickTransaction::Impl* tx,
         return kEmptyPatterns;
       };
       tx->score_terms = std::move(want);
-      tx->staged_postings = StageSearchPostings(tx->score_terms, slot_for);
+      tx->staged_lists = StageSearchPostings(tx->score_terms, slot_for);
     }
   }
 
-  // ---- staged snapshot build: the next read-plane generation, entirely
-  // off to the side. A private copy of the published index goes through the
-  // incremental fast path (Reopen → EvictBefore → ReplaceTerm → Finalize);
-  // readers keep loading the current snapshot untouched, and on any failure
-  // up to and including the runtime.publish fault point the half-built
-  // successor is simply dropped — no undo entry needed.
+  // ---- staged snapshot build: the next read-plane generation, a successor
+  // of the published one sharing every list but the re-scored ones and any
+  // still holding docs an id-preserving eviction dropped. Readers keep
+  // loading the current snapshot untouched, and on any failure up to and
+  // including the runtime.publish fault point the half-built successor is
+  // simply dropped — no undo entry needed.
   tx->touch_search =
       search && (stats->evicted || !tx->score_terms.empty());
   if (tx->touch_search) {
-    const std::shared_ptr<const IndexSnapshot> current =
-        search_snapshot_.Load();
+    const bool drop_dead = stats->evicted && tx->eviction.ids_preserved;
     tx->next_snapshot = std::make_shared<IndexSnapshot>();
-    tx->next_snapshot->index = current->index;
-    tx->next_snapshot->index.Reopen();
-    if (stats->evicted && tx->eviction.ids_preserved) {
-      tx->next_snapshot->index.EvictBefore(tx->eviction.doc_id_base);
-    }
-    for (size_t i = 0; i < tx->score_terms.size(); ++i) {
-      tx->next_snapshot->index.ReplaceTerm(tx->score_terms[i],
-                                           std::move(tx->staged_postings[i]));
-    }
-    // The copy carried the published generation, so this Finalize lands on
-    // exactly generation + 1: one bump per editing tick, as before.
-    tx->next_snapshot->index.Finalize();
+    tx->next_snapshot->index = search_snapshot_.Load()->index.Successor(
+        tx->score_terms, std::move(tx->staged_lists),
+        drop_dead ? tx->eviction.doc_id_base : 0, pool_);
     tx->next_snapshot->generation = tx->next_snapshot->index.generation();
     tx->next_snapshot->window_start = index_.window_start();
     tx->next_snapshot->doc_id_base = collection_.doc_id_base();
@@ -669,13 +657,14 @@ std::vector<RefreshCandidate> FeedRuntime::RefreshCandidates(
   // every quiet term (anything whose postings changed was re-mined and
   // re-stamped this tick), so the scan is O(V) with no posting walks.
   //
-  // A quiet term only qualifies while its burstiness normalization actually
-  // drifted — the window length changed since its last mine. On a
-  // length-preserving steady-state slide its windowed series content and
-  // absolute timeframes are unchanged (retention contract), so a re-mine
-  // would be a bit-identical no-op; skipping it drains the sweep to zero
-  // once the window is full. Sub-threshold terms never qualify either: the
-  // miner would skip them anyway, and cycling them through the budget
+  // A quiet term only qualifies while its burstiness normalization drifted
+  // — the window length changed since its last mine — which drains the
+  // sweep to zero once the window is full. On a length-preserving slide a
+  // skipped slot keeps the staleness contract (it equals its last mine, bit
+  // for bit); it need not equal a fresh mine over the slid window, whose
+  // window-relative interval extraction can round differently at the new
+  // origin and flip exact ties. Sub-threshold terms never qualify either:
+  // the miner would skip them anyway, and cycling them through the budget
   // would starve real work.
   const std::vector<TermId>& exclude = tx.impl_->dirty_todo;
   const Timestamp now = collection_.timeline_length();
@@ -717,9 +706,9 @@ std::vector<TermId> FeedRuntime::SelectRefreshTargets(
   return targets;
 }
 
-void FeedRuntime::ScoreSearchTerm(TermId term, const TermPatterns& slot,
-                                  std::vector<TermPattern>* scratch,
-                                  std::vector<Posting>* out) const {
+InvertedIndex::TermList FeedRuntime::ScoreSearchTerm(
+    TermId term, const TermPatterns& slot,
+    std::vector<TermPattern>* scratch) const {
   scratch->clear();
   if (options_.search_serving == SearchServing::kCombinatorial) {
     for (const CombinatorialPattern& p : slot.combinatorial) {
@@ -736,10 +725,12 @@ void FeedRuntime::ScoreSearchTerm(TermId term, const TermPatterns& slot,
   for (TermPattern& p : *scratch) {
     std::sort(p.streams.begin(), p.streams.end());
   }
-  ScoreTermDocuments(collection_, index_, term, *scratch, out);
+  std::vector<Posting> scored;
+  ScoreTermDocuments(collection_, index_, term, *scratch, &scored);
+  return TermPostings::Freeze(std::move(scored));
 }
 
-std::vector<std::vector<Posting>> FeedRuntime::StageSearchPostings(
+std::vector<InvertedIndex::TermList> FeedRuntime::StageSearchPostings(
     const std::vector<TermId>& terms,
     const std::function<const TermPatterns&(TermId)>& slot_for) const {
   // Sharded across the standing pool: per-worker pattern scratch (the
@@ -747,13 +738,12 @@ std::vector<std::vector<Posting>> FeedRuntime::StageSearchPostings(
   // index-addressed slots — schedule-independent output at any thread
   // count. Reads only frozen state (collection, frequency index, standing
   // + staged slots), so workers share it without synchronization.
-  std::vector<std::vector<Posting>> staged(terms.size());
+  std::vector<InvertedIndex::TermList> staged(terms.size());
   const size_t workers = pool_ != nullptr ? pool_->num_threads() + 1 : 1;
   std::vector<std::vector<TermPattern>> scratch(workers);
   ParallelFor(pool_, 0, terms.size(), [&](size_t worker, size_t i) {
     STBURST_FAULT_POINT_THROW("runtime.search_update");
-    ScoreSearchTerm(terms[i], slot_for(terms[i]), &scratch[worker],
-                    &staged[i]);
+    staged[i] = ScoreSearchTerm(terms[i], slot_for(terms[i]), &scratch[worker]);
   });
   return staged;
 }

@@ -21,10 +21,13 @@
 //                                         under the per-tick budget
 //     6. search snapshot build + publish  [optional] the next read-plane
 //                                         generation, built off to the side
-//                                         on a private copy of the current
-//                                         index (per-term re-scoring fanned
-//                                         across the pool) and published to
-//                                         readers with one atomic swap
+//                                         by structural sharing (per-term
+//                                         re-score + freeze fanned across
+//                                         the pool, then a successor of the
+//                                         current index that shares every
+//                                         untouched term list) and
+//                                         published to readers with one
+//                                         atomic swap
 //
 // Every tick is transactional (the failure and recovery contract in
 // docs/ARCHITECTURE.md): steps 4–6 mine, score, and build into staging
@@ -156,15 +159,19 @@ struct FeedRuntimeOptions {
 
   /// Maintain a bursty-document search read plane (paper §5) over the
   /// standing result. Each tick that changes search state builds the next
-  /// immutable IndexSnapshot off to the side — a private copy of the
-  /// current index, edited on the incremental fast path (evicted
-  /// documents' postings dropped, exactly the terms re-mined this tick
-  /// re-derived) — and publishes it with one atomic swap; Search() is
-  /// always window-consistent with result() (tested: equal to a
-  /// from-scratch BurstySearchEngine build over the retained collection
-  /// and standing patterns). Readers hold snapshots across ticks without
-  /// blocking either side; each published generation bumps
-  /// search_snapshot()->generation by one.
+  /// immutable IndexSnapshot off to the side by structural sharing: pool
+  /// workers re-score and freeze the lists of exactly the terms re-mined
+  /// this tick, and InvertedIndex::Successor copies the current
+  /// generation's term-pointer array, swaps those lists in, and re-freezes
+  /// any other list still holding evicted documents — every untouched list
+  /// is shared, not copied. The snapshot publishes with one atomic swap in
+  /// the commit tail, where the superseded generation is also released
+  /// (a few frees per replaced list) unless a reader still pins it; then
+  /// the last reader frees it. Search() is always window-consistent with
+  /// result() (tested: equal to a from-scratch BurstySearchEngine build
+  /// over the retained collection and standing patterns). Readers hold
+  /// snapshots across ticks without blocking either side; each published
+  /// generation bumps search_snapshot()->generation by one.
   SearchServing search_serving = SearchServing::kNone;
 
   /// Capacity (entries) of the query-result cache; 0 disables it. Entries
@@ -179,12 +186,15 @@ struct FeedRuntimeOptions {
   /// Background refresh budget: quiet terms re-mined per tick, stalest
   /// first (priority = total windowed mass × ticks since last mine, ties to
   /// the smaller TermId). Only terms whose burstiness normalization
-  /// actually drifted qualify — i.e. the retained window length changed
-  /// since their last mine; on a length-preserving steady-state slide a
-  /// quiet term's slot is provably identical, so the sweep drains to zero
-  /// instead of re-mining no-ops forever. Counted in terms, not wall
+  /// drifted qualify — i.e. the retained window length changed since their
+  /// last mine — so on a length-preserving steady-state slide the sweep
+  /// drains to zero. What a quiet slot then keeps is the staleness
+  /// contract: it equals its last mine, bit for bit. It is not guaranteed
+  /// to equal a fresh mine over the slid window — interval extraction runs
+  /// over the window-relative series, and a different window origin can
+  /// round differently and flip exact ties. Counted in terms, not wall
   /// clock, so the sweep is deterministic at any thread count. 0 disables
-  /// the sweep (quiet slots keep the PR-2 staleness contract
+  /// the sweep (quiet slots keep the plain staleness contract
   /// indefinitely).
   size_t refresh_budget = 0;
 
@@ -446,18 +456,20 @@ class FeedRuntime {
   /// the tick's mutations). No-throw.
   void RollbackTick(FeedTickUndo* undo);
 
-  /// Scores `term`'s retained documents against `slot`, appending the
-  /// positive search postings to `out`. Const and scratch-parameterized so
-  /// StageSearchPostings can run it on pool workers.
-  void ScoreSearchTerm(TermId term, const TermPatterns& slot,
-                       std::vector<TermPattern>* scratch,
-                       std::vector<Posting>* out) const;
+  /// Scores `term`'s retained documents against `slot` and freezes the
+  /// positive search postings into the term's list (sort + lookup table).
+  /// Const and scratch-parameterized so StageSearchPostings can run it on
+  /// pool workers.
+  InvertedIndex::TermList ScoreSearchTerm(
+      TermId term, const TermPatterns& slot,
+      std::vector<TermPattern>* scratch) const;
 
-  /// Scores every term in `terms` (slot via `slot_for`) across the
-  /// standing pool into index-addressed result slots — deterministic at
-  /// any thread count. The staging half of the search update; the builder
-  /// commits each list with InvertedIndex::ReplaceTerm.
-  std::vector<std::vector<Posting>> StageSearchPostings(
+  /// Scores and freezes every term in `terms` (slot via `slot_for`) across
+  /// the standing pool into index-addressed lists (nullptr: no postings) —
+  /// deterministic at any thread count. The staging half of the search
+  /// update; InvertedIndex::Successor swaps the lists into the next
+  /// generation.
+  std::vector<InvertedIndex::TermList> StageSearchPostings(
       const std::vector<TermId>& terms,
       const std::function<const TermPatterns&(TermId)>& slot_for) const;
 

@@ -36,7 +36,7 @@ InvertedIndex RebuildReferenceSearchIndex(const FeedRuntime& runtime,
     }
   }
   auto engine = BurstySearchEngine::Build(runtime.collection(), patterns);
-  // Copy out the index (the engine owns it); postings/maps copy cleanly.
+  // Copy out the index (the engine owns it); the copy shares its lists.
   return engine.index();
 }
 
@@ -406,6 +406,56 @@ TEST(FeedRuntime, SearchGenerationStaysPutOnEditFreeTicks) {
   EXPECT_EQ(runtime->search_index()->generation(), created + 1);
 }
 
+TEST(FeedRuntime, AppendOnlyTickSharesEveryUntouchedTermList) {
+  // Structural sharing: an append-only tick re-scores exactly the terms of
+  // its snapshot, and its successor generation carries a new list for each
+  // of them and the predecessor's list, pointer-equal, for every other
+  // term. A re-scored term compares equal only when it has no postings
+  // before or after (both lists null).
+  constexpr size_t kStreams = 4;
+  constexpr size_t kVocab = 40;
+  FeedRuntimeOptions opts = BaseOptions(2);
+  opts.search_serving = SearchServing::kCombinatorial;
+  auto runtime =
+      FeedRuntime::Create(MakeSeedCollection(kStreams, 3, kVocab), opts);
+  ASSERT_TRUE(runtime.ok());
+
+  Rng rng(4040);
+  for (int tick = 0; tick < 8; ++tick) {
+    Snapshot snap = MakeSnapshot(rng, kStreams, kVocab);
+    std::vector<bool> in_snapshot(kVocab, false);
+    for (const SnapshotDocument& doc : snap) {
+      for (TermId t : doc.tokens) in_snapshot[t] = true;
+    }
+    const auto before = runtime->search_snapshot();
+    auto stats = runtime->Tick(std::move(snap));
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_FALSE(stats->evicted);
+    const auto after = runtime->search_snapshot();
+    ASSERT_EQ(after->generation, before->generation + 1);
+    EXPECT_EQ(stats->search_terms, static_cast<size_t>(std::count(
+                                       in_snapshot.begin(), in_snapshot.end(),
+                                       true)));
+
+    size_t not_shared = 0;
+    size_t rescored_to_nothing = 0;
+    for (TermId t = 0; t < kVocab; ++t) {
+      const TermPostings* was = before->index.term_list(t);
+      const TermPostings* now = after->index.term_list(t);
+      if (was != now) {
+        ++not_shared;
+        EXPECT_TRUE(in_snapshot[t]) << "tick " << tick << " term " << t;
+      } else if (in_snapshot[t]) {
+        EXPECT_EQ(now, nullptr) << "tick " << tick << " term " << t;
+        ++rescored_to_nothing;
+      }
+    }
+    EXPECT_GT(not_shared, 0u);
+    EXPECT_EQ(not_shared + rescored_to_nothing, stats->search_terms)
+        << "tick " << tick;
+  }
+}
+
 TEST(FeedRuntime, SearchDisabledByDefault) {
   auto runtime = FeedRuntime::Create(MakeSeedCollection(2, 2, 6),
                                      BaseOptions(1));
@@ -701,6 +751,66 @@ TEST(FeedRuntimeDeadline, LadderShedsRefreshThenDefersSearch) {
   EXPECT_FALSE(catchup->degraded);
   EXPECT_GE(catchup->search_terms, 1u);
   EXPECT_GT(runtime->search_index()->generation(), created_generation);
+  ExpectIdenticalIndexes(
+      *runtime->search_index(),
+      RebuildReferenceSearchIndex(*runtime, SearchServing::kCombinatorial));
+}
+
+TEST(FeedRuntimeDeadline, DegradedEvictingTickDropsDeadDocsOfDeferredTerms) {
+  // A degraded tick defers search re-scoring but never search eviction: the
+  // successor re-freezes every deferred term's list without the evicted
+  // docs, so no published generation serves a dead DocId, and the next tick
+  // with headroom restores full-rebuild parity.
+  constexpr size_t kStreams = 3;
+  constexpr size_t kVocab = 16;
+  FeedRuntimeOptions opts = BaseOptions(2);
+  opts.retention_window = 3;
+  opts.search_serving = SearchServing::kCombinatorial;
+  opts.tick_deadline_seconds = 1.0;
+  // While `late` is set every clock read is 10 s after the previous one,
+  // so the tick is over deadline at its first check; otherwise time stands
+  // still and no tick is.
+  struct Clock {
+    double now = 0.0;
+    bool late = false;
+  };
+  auto clock = std::make_shared<Clock>();
+  opts.clock = [clock]() {
+    if (clock->late) clock->now += 10.0;
+    return clock->now;
+  };
+  auto runtime =
+      FeedRuntime::Create(MakeSeedCollection(kStreams, 3, kVocab), opts);
+  ASSERT_TRUE(runtime.ok());
+  Rng rng(515);
+  for (int tick = 0; tick < 4; ++tick) {
+    ASSERT_TRUE(runtime->Tick(MakeSnapshot(rng, kStreams, kVocab)).ok());
+  }
+
+  const auto before = runtime->search_snapshot();
+  clock->late = true;
+  auto degraded = runtime->Tick(MakeSnapshot(rng, kStreams, kVocab));
+  clock->late = false;
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  ASSERT_TRUE(degraded->degraded);
+  ASSERT_TRUE(degraded->evicted);
+  EXPECT_EQ(degraded->search_terms, 0u);
+
+  const auto after = runtime->search_snapshot();
+  EXPECT_EQ(after->generation, before->generation + 1);
+  EXPECT_GT(after->doc_id_base, before->doc_id_base);
+  size_t refrozen = 0;
+  for (TermId t = 0; t < after->index.num_terms(); ++t) {
+    for (const Posting& p : after->index.postings(t)) {
+      EXPECT_GE(p.doc, after->doc_id_base) << "term " << t;
+    }
+    refrozen += after->index.term_list(t) != before->index.term_list(t);
+  }
+  EXPECT_GT(refrozen, 0u);
+
+  auto catchup = runtime->Tick(MakeSnapshot(rng, kStreams, kVocab));
+  ASSERT_TRUE(catchup.ok());
+  EXPECT_FALSE(catchup->degraded);
   ExpectIdenticalIndexes(
       *runtime->search_index(),
       RebuildReferenceSearchIndex(*runtime, SearchServing::kCombinatorial));

@@ -8,8 +8,9 @@
 //  - restart recovery: a tier written through kMmap reopens bit-identical,
 //    and a restarted runtime recovers the baselines without replaying the
 //    cold span;
-//  - storage hardening: truncated / corrupt / wrong-format files are
-//    rejected, never half-read;
+//  - storage hardening: truncated / corrupt / wrong-format files, and
+//    files whose checksums hold but whose rows break the format's
+//    structural contract, are rejected, never half-read;
 //  - ReplayRange backtesting over stored spans.
 //
 // Bit-equality leans on the frequency determinism note in frequency.h:
@@ -19,10 +20,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -560,6 +563,135 @@ TEST(ColdTierMmapTest, RejectsTruncatedAndCorruptFiles) {
     const uint64_t checksum = Fnv1a64(bad.data(), 56);
     std::memcpy(bad.data() + 56, &checksum, sizeof(checksum));
     expect_rejected(bad, "future version");
+  }
+  std::remove(path.c_str());
+  std::remove(victim.c_str());
+}
+
+// Rewrites both FNV checksums of a tier file image, so a test's edit
+// reaches the structural checks instead of failing the checksum ones.
+void Reseal(std::string* bytes) {
+  const uint64_t payload = Fnv1a64(bytes->data() + 64, bytes->size() - 64);
+  std::memcpy(bytes->data() + 48, &payload, sizeof(payload));
+  const uint64_t header = Fnv1a64(bytes->data(), 56);
+  std::memcpy(bytes->data() + 56, &header, sizeof(header));
+}
+
+template <typename T>
+void Poke(std::string* bytes, size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(T), bytes->size());
+  std::memcpy(bytes->data() + offset, &value, sizeof(T));
+}
+
+TEST(ColdTierMmapTest, RejectsStructurallyInvalidRowsWithValidChecksums) {
+  // SampleFoldInput folded to cutoff 6 at width 2: covered [0, 6), so
+  // buckets 0..2; stream_upper_bound 3; term 0 rows (0,0) (1,1), term 3
+  // rows (2,0) (2,2); num_terms 4, num_rows 4.
+  const std::string path = TempPath("cold_tier_structure_src.stb");
+  {
+    auto tier = ColdTier::OpenOrCreate(path, /*bucket_width=*/2);
+    ASSERT_TRUE(tier.ok());
+    ColdFoldUndo undo;
+    auto input = SampleFoldInput();
+    tier->FoldEvicted(input, /*cutoff=*/6, &undo);
+    ASSERT_TRUE(tier->Publish().ok());
+  }
+  const std::string good = ReadFile(path);
+  uint64_t num_terms = 0;
+  uint64_t num_rows = 0;
+  std::memcpy(&num_terms, good.data() + 32, sizeof(num_terms));
+  std::memcpy(&num_rows, good.data() + 40, sizeof(num_rows));
+  ASSERT_EQ(num_terms, 4u);
+  ASSERT_EQ(num_rows, 4u);
+  const size_t stream_col = 64 + 8 * (num_terms + 1);
+  const size_t bucket_col = stream_col + 4 * num_rows;
+  const size_t sum_col = bucket_col + 4 * num_rows;
+  const size_t max_col = sum_col + 8 * num_rows;
+  const std::string victim = TempPath("cold_tier_structure.stb");
+
+  // The unedited image reseals to itself and opens.
+  {
+    std::string same = good;
+    Reseal(&same);
+    ASSERT_EQ(same, good);
+    WriteFile(victim, same);
+    ASSERT_TRUE(ColdTier::Open(victim).ok());
+  }
+
+  auto expect_rejected = [&](std::string bytes, const char* what) {
+    Reseal(&bytes);
+    WriteFile(victim, bytes);
+    auto opened = ColdTier::Open(victim);
+    ASSERT_FALSE(opened.ok()) << what;
+    EXPECT_TRUE(opened.status().IsFailedPrecondition())
+        << what << ": " << opened.status().ToString();
+    auto reattached = ColdTier::OpenOrCreate(victim, 2);
+    EXPECT_FALSE(reattached.ok()) << what;
+  };
+
+  {
+    // A row naming stream 1,000,000 with stream_upper_bound 3: before
+    // structural validation Open accepted it and the first ReplaySeries
+    // aborted the process indexing the series by stream.
+    std::string bad = good;
+    Poke<uint32_t>(&bad, stream_col + 4 * 1, 1000000);
+    expect_rejected(bad, "stream 1,000,000");
+  }
+  {
+    // Term 0's two rows swapped: (1,1) before (0,0).
+    std::string bad = good;
+    Poke<uint32_t>(&bad, stream_col + 0, 1);
+    Poke<uint32_t>(&bad, bucket_col + 0, 1);
+    Poke<uint32_t>(&bad, stream_col + 4, 0);
+    Poke<uint32_t>(&bad, bucket_col + 4, 0);
+    expect_rejected(bad, "rows out of order");
+  }
+  {
+    // Term 3's rows (2,0) (2,0): a duplicate is not strictly ascending.
+    std::string bad = good;
+    Poke<uint32_t>(&bad, bucket_col + 4 * 3, 0);
+    expect_rejected(bad, "duplicate row");
+  }
+  {
+    // Bucket 3 covers timestamps [6, 8), past folded_until 6.
+    std::string bad = good;
+    Poke<uint32_t>(&bad, bucket_col + 4 * 3, 3);
+    expect_rejected(bad, "bucket past folded_until");
+  }
+  {
+    // covered_start 2 makes bucket 0 (timestamps [0, 2)) uncovered.
+    std::string bad = good;
+    Poke<int32_t>(&bad, 24, 2);
+    expect_rejected(bad, "bucket before covered_start");
+  }
+  {
+    std::string bad = good;
+    Poke<double>(&bad, sum_col + 8 * 2, std::nan(""));
+    expect_rejected(bad, "NaN sum");
+  }
+  {
+    std::string bad = good;
+    Poke<double>(&bad, max_col + 8 * 1,
+                 std::numeric_limits<double>::infinity());
+    expect_rejected(bad, "infinite max");
+  }
+  {
+    // num_terms = 2^61 + 4: 8 * (num_terms + 1) wraps to the true offsets
+    // length, so unchecked arithmetic matched the file size and the offset
+    // check then read term_offsets[2^61 + 4], far outside the mapping.
+    std::string bad = good;
+    Poke<uint64_t>(&bad, 32, (uint64_t{1} << 61) + 4);
+    expect_rejected(bad, "num_terms wrapping the payload length");
+  }
+  {
+    // num_rows = 2^59 + 4: 32 * num_rows wraps to the true rows length.
+    std::string bad = good;
+    Poke<uint64_t>(&bad, 40, (uint64_t{1} << 59) + 4);
+    expect_rejected(bad, "num_rows wrapping the payload length");
+    Reseal(&bad);
+    WriteFile(victim, bad);
+    EXPECT_NE(ColdTier::Open(victim).status().ToString().find("overflow"),
+              std::string::npos);
   }
   std::remove(path.c_str());
   std::remove(victim.c_str());

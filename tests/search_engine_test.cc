@@ -111,7 +111,7 @@ TEST(BurstySearchEngine, ThresholdAndExhaustiveAgree) {
   }
 }
 
-TEST(IndexTermDocuments, TermMajorRefreshMatchesDocMajorBuild) {
+TEST(ScoreTermDocuments, TermMajorRefreshMatchesDocMajorBuild) {
   // The incremental path FeedRuntime's search serving takes — per-term
   // re-derivation through the frequency index — must produce postings
   // identical to the doc-major BurstySearchEngine::Build from the same
@@ -157,7 +157,9 @@ TEST(IndexTermDocuments, TermMajorRefreshMatchesDocMajorBuild) {
   FrequencyIndex freq = FrequencyIndex::Build(*c);
   InvertedIndex term_major;
   for (TermId t = 0; t < vocab; ++t) {
-    IndexTermDocuments(*c, freq, t, patterns.PatternsFor(t), &term_major);
+    std::vector<Posting> scored;
+    ScoreTermDocuments(*c, freq, t, patterns.PatternsFor(t), &scored);
+    for (const Posting& p : scored) term_major.Add(t, p.doc, p.score);
   }
   term_major.Finalize();
   ExpectIdenticalIndexes(term_major, engine.index());
